@@ -23,8 +23,7 @@ Requirements:
   only asserted when the host exposes at least two CPUs
   (``available_cpus() >= 2``); on a single-CPU host there is nothing
   to overlap with — the admission policy itself turns speculation off
-  there — and the gate is reported as skipped, exactly like the
-  numeric-backend gate skips when numpy is absent.
+  there — and the gate is reported as skipped.
 
 Each mode runs against its own fresh run store and checkpoint, so
 neither campaign warms the other.  The report (``BENCH_stream.json``)

@@ -72,15 +72,15 @@ class ReproConfig:
         ReproConfig(workers=4)                      # engine knob only
         ReproConfig(fact=FactConfig(vdd=3.3))       # full control
 
-    ``workers`` / ``cache_size`` / ``incremental`` /
-    ``numeric_backend`` / ``streaming``, when given, override the
-    evaluation engine knobs inside the search section
-    (``incremental=False`` disables region-level schedule memoization —
-    same results, no reuse; ``numeric_backend="batched"`` stacks
-    candidate Markov solves into blocked linear-algebra calls;
-    ``streaming=True`` pipelines each generation through
-    ``evaluate_stream`` instead of the barrier — all bit-identical
-    results; see ``docs/performance.md`` and ``docs/pipeline.md``).
+    ``workers`` / ``cache_size`` / ``incremental`` / ``streaming``,
+    when given, override the evaluation engine knobs inside the search
+    section (``incremental=False`` disables region-level schedule
+    memoization — no reuse, and scores that agree within
+    :data:`repro.gen.oracles.PLAIN_REL_TOL` because the plain walk sums
+    the same visits in a different order; ``streaming=True`` pipelines
+    each generation through ``evaluate_stream`` instead of the barrier —
+    bit-identical results; see ``docs/performance.md`` and
+    ``docs/pipeline.md``).
 
     ``trace`` attaches a :class:`~repro.obs.trace.Tracer`: the run
     records nested spans (compile / schedule / evaluate /
@@ -96,7 +96,6 @@ class ReproConfig:
     workers: Optional[int] = None
     cache_size: Optional[int] = None
     incremental: Optional[bool] = None
-    numeric_backend: Optional[str] = None
     streaming: Optional[bool] = None
     trace: Optional[AnyTracer] = None
 
@@ -114,8 +113,6 @@ class ReproConfig:
             updates["cache_size"] = self.cache_size
         if self.incremental is not None:
             updates["incremental"] = self.incremental
-        if self.numeric_backend is not None:
-            updates["numeric_backend"] = self.numeric_backend
         if self.streaming is not None:
             updates["streaming"] = self.streaming
         if updates:

@@ -207,7 +207,6 @@ def cmd_optimize(args: argparse.Namespace) -> int:
                             incremental=not args.no_incremental,
                             incremental_enumeration=(
                                 not args.no_incremental_enum),
-                            numeric_backend=args.numeric_backend,
                             streaming=args.streaming,
                             **_strategy_fields(args)),
         workers=args.workers)
@@ -246,7 +245,6 @@ def cmd_explore(args: argparse.Namespace) -> int:
                            incremental=not args.no_incremental,
                            incremental_enumeration=(
                                not args.no_incremental_enum),
-                           numeric_backend=args.numeric_backend,
                            streaming=args.streaming,
                            **_strategy_fields(args))
     config = ExploreConfig(
@@ -259,7 +257,6 @@ def cmd_explore(args: argparse.Namespace) -> int:
         sched=SchedConfig(clock=args.clock), search=search,
         incremental=not args.no_incremental,
         incremental_enumeration=not args.no_incremental_enum,
-        numeric_backend=args.numeric_backend,
         streaming=args.streaming)
     result = api.explore(
         behavior, config=config, alloc=args.alloc,
@@ -633,18 +630,13 @@ def _add_stats_arg(p: argparse.ArgumentParser) -> None:
 def _add_incremental_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--no-incremental", action="store_true",
                    help="disable region-level schedule memoization "
-                        "(identical results, slower; the benchmark "
+                        "(slower; scores agree with the default within "
+                        "repro.gen.oracles.PLAIN_REL_TOL; the benchmark "
                         "baseline)")
     p.add_argument("--no-incremental-enum", action="store_true",
                    help="disable incremental candidate enumeration "
                         "(identical results, slower; the benchmark "
                         "baseline)")
-    p.add_argument("--numeric-backend", choices=("scalar", "batched"),
-                   default="scalar",
-                   help="linear-algebra core for candidate evaluation: "
-                        "'batched' stacks Markov solves into blocked "
-                        "LAPACK calls (identical results; see "
-                        "docs/performance.md)")
     p.add_argument("--streaming", action="store_true",
                    help="pipeline each generation through the "
                         "streaming evaluator instead of the "

@@ -40,11 +40,10 @@ from ..cdfg.ir import _digest
 from ..cdfg.regions import Behavior
 from ..errors import ReproError, SearchError
 from ..hw import Allocation, Library
-from ..numeric import get_backend, set_backend
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import NULL_TRACER, AnyTracer, Tracer
 from ..stg import markov as _markov
-from ..sched.driver import ScheduleResult, Scheduler, resolve_visits
+from ..sched.driver import ScheduleResult, Scheduler
 from ..sched.regioncache import RegionScheduleCache
 from ..sched.types import BranchProbs, ResourceModel, SchedConfig
 from ..stream import AdmissionPolicy, StreamStats
@@ -112,23 +111,6 @@ class EvalBudget:
         return self.limit is not None and self.spent >= self.limit
 
 
-@dataclass
-class _Deferred:
-    """A candidate scheduled with its visit resolution still pending.
-
-    Produced by :meth:`EvaluationEngine._defer_one`; consumed (flushed,
-    spliced and scored) by :meth:`EvaluationEngine._resolve_deferred`.
-    """
-
-    behavior: Behavior
-    key: Optional[str]
-    span: object
-    stats: EvalStats
-    pending: Optional[object]
-    result: Optional[ScheduleResult]
-    error: Optional[ReproError]
-
-
 def resolve_workers(workers: Optional[int] = None) -> int:
     """Effective worker count: explicit arg, else ``REPRO_WORKERS``, else 0.
 
@@ -171,8 +153,6 @@ class _EvalContext:
     incremental: bool = True
     region_cache_size: int = 4096
     traced: bool = False
-    #: numeric backend name; installed per process (see _init_worker).
-    numeric_backend: str = "scalar"
 
     def make_region_cache(self) -> Optional[RegionScheduleCache]:
         """A region-schedule cache bound to this context.
@@ -231,22 +211,9 @@ def _datapath_cost(behavior: Behavior, library: Library,
     return sum(rm.delay_of(nid) for nid in behavior.graph.node_ids())
 
 
-def _counters_before(region_cache: Optional[RegionScheduleCache],
-                     numeric) -> Tuple:
-    """Snapshot of every per-candidate counter source."""
-    return (region_cache.snapshot() if region_cache is not None else None,
-            numeric.snapshot(), numeric.solve_seconds)
-
-
-def _accrue_counters(stats: EvalStats, before: Tuple,
-                     region_cache: Optional[RegionScheduleCache],
-                     numeric) -> None:
-    """Add the counter deltas since ``before`` onto ``stats``."""
-    cache_before, nb_before, seconds_before = before
-    nb_after = numeric.snapshot()
-    stats.numeric_flushes += nb_after[0] - nb_before[0]
-    stats.numeric_batched += nb_after[1] - nb_before[1]
-    stats.numeric_seconds += numeric.solve_seconds - seconds_before
+def _accrue_counters(stats: EvalStats, cache_before: Optional[Tuple],
+                     region_cache: Optional[RegionScheduleCache]) -> None:
+    """Add the region-cache counter deltas since ``cache_before``."""
     if region_cache is None or cache_before is None:
         return
     after = region_cache.snapshot()
@@ -285,8 +252,8 @@ def _score_one(ctx: _EvalContext, behavior: Behavior,
     with tracer.span("evaluate", cache="miss") as span:
         if key is not None:
             span.set(candidate=key[:16])
-        numeric = get_backend()
-        before = _counters_before(region_cache, numeric)
+        before = (region_cache.snapshot()
+                  if region_cache is not None else None)
         stats = EvalStats(scheduled=1)
         t0 = time.perf_counter()
         try:
@@ -301,7 +268,7 @@ def _score_one(ctx: _EvalContext, behavior: Behavior,
             result, score = None, float("inf")
             span.set(unschedulable=type(err).__name__)
         stats.sched_time = time.perf_counter() - t0
-        _accrue_counters(stats, before, region_cache, numeric)
+        _accrue_counters(stats, before, region_cache)
         if region_cache is None and result is not None:
             stats.states_built = len(result.stg.states)
         _set_result_attrs(span, score, stats)
@@ -324,10 +291,6 @@ def _init_worker(ctx: _EvalContext) -> None:
     # parent re-parents them under its open span via Tracer.adopt.
     _WORKER_TRACER = Tracer() if ctx.traced else NULL_TRACER
     _markov.set_tracer(_WORKER_TRACER)
-    # Like the tracer, the numeric backend is process-local state: each
-    # worker installs its own instance (the counters it accumulates are
-    # shipped home per candidate via EvalStats).
-    set_backend(ctx.numeric_backend)
 
 
 def _eval_worker(behavior: Behavior
@@ -363,7 +326,6 @@ class EvaluationEngine:
                  incremental: bool = True,
                  region_cache_size: int = 4096,
                  region_cache: Optional[RegionScheduleCache] = None,
-                 numeric_backend: str = "scalar",
                  tracer: Optional[AnyTracer] = None
                  ) -> None:
         self.tracer: AnyTracer = tracer if tracer is not None \
@@ -373,12 +335,7 @@ class EvaluationEngine:
                                  branch_probs, objective,
                                  incremental=incremental,
                                  region_cache_size=region_cache_size,
-                                 traced=bool(self.tracer.enabled),
-                                 numeric_backend=numeric_backend)
-        # Installed for this process too (the serial backend and batch
-        # leftovers evaluate inline); resolve_backend falls back to
-        # scalar when batching prerequisites are missing.
-        set_backend(numeric_backend)
+                                 traced=bool(self.tracer.enabled))
         self.workers = resolve_workers(workers)
         self.cache = EvalCache(max_entries=cache_size)
         #: (parent raw fingerprint × match fingerprint) -> behavior
@@ -535,10 +492,9 @@ class EvaluationEngine:
         With the process backend, up to ``policy.effective_window``
         evaluations are in flight at once and the main process overlaps
         downstream work (measuring, store writes, front admission) with
-        them.  Serially, the batched numeric backend defers Markov visit
-        resolution and flushes dirty fragments opportunistically every
-        ``policy.flush_size`` candidates — any flush composition is
-        bit-identical (see :meth:`_score_generation`).
+        them.  Serially, each candidate is scored the moment it is
+        pulled, so the stream degenerates to the barrier path with
+        per-candidate yields.
 
         Duplicates and cache hits are handled exactly like
         ``evaluate_batch``: an in-flight duplicate merges onto the first
@@ -575,7 +531,7 @@ class EvaluationEngine:
                     yield from self._stream_pool(source, pool, policy,
                                                  stats, span)
                     return
-            yield from self._stream_serial(source, policy, stats, span)
+            yield from self._stream_serial(source, stats, span)
 
     def _harvest_carried(self, stats: StreamStats) -> None:
         """Absorb finished carried-over (detached) evaluations.
@@ -720,39 +676,11 @@ class EvaluationEngine:
                                        st if j == 0 else None)
         span.set(size=n_items, cache_hits=n_hits, scheduled=n_scheduled)
 
-    def _stream_serial(self, source, policy: AdmissionPolicy,
-                       stats: StreamStats,
+    def _stream_serial(self, source, stats: StreamStats,
                        span) -> Iterator[Tuple[int, Evaluated]]:
         use_cache = self.cache.max_entries > 0
         traced = self.tracer.enabled
-        numeric = get_backend()
-        defer = numeric.batched and self._region_cache is not None
-        flush_at = policy.effective_flush()
-        buf: List[_Deferred] = []
-        # waiters per buffer slot: [(input index, behavior, lineage)]
-        metas: List[List] = []
-        by_key: Dict[str, int] = {}
         n_items = n_hits = n_scheduled = 0
-
-        def flush() -> List[Tuple[int, Evaluated]]:
-            scored = self._resolve_deferred(buf)
-            out: List[Tuple[int, Evaluated]] = []
-            for entry, waiters, (result, score, st) in zip(buf, metas,
-                                                           scored):
-                if entry.key is not None:
-                    self.cache.put(entry.key, (result, score))
-                self.eval_stats.add(st)
-                stats.completed += 1
-                for j, (i, behavior, lineage) in enumerate(waiters):
-                    out.append((i, Evaluated(behavior, result, score,
-                                             lineage,
-                                             st if j == 0 else None)))
-            buf.clear()
-            metas.clear()
-            by_key.clear()
-            stats.flushes += 1
-            return out
-
         next_i = 0
         for item in source:
             if item is None:
@@ -769,13 +697,6 @@ class EvaluationEngine:
             key = None
             if use_cache:
                 key = self._key_with_provenance(behavior)
-                pos = by_key.get(key)
-                if pos is not None:
-                    self.cache.stats.hits += 1
-                    stats.merged += 1
-                    n_hits += 1
-                    metas[pos].append((i, behavior, lineage))
-                    continue
                 cached = self.cache.get(key)
                 if cached is not None:
                     result, score = cached
@@ -793,28 +714,16 @@ class EvaluationEngine:
                 self.cache.stats.misses += 1
             stats.submitted += 1
             n_scheduled += 1
-            if defer:
-                buf.append(self._defer_one(behavior, key))
-                metas.append([(i, behavior, lineage)])
-                if key is not None:
-                    by_key[key] = len(buf) - 1
-                if len(buf) > stats.max_inflight:
-                    stats.max_inflight = len(buf)
-                if len(buf) >= flush_at:
-                    yield from flush()
-            else:
-                result, score, st = _score_one(self._ctx, behavior,
-                                               self._region_cache,
-                                               self.tracer, key)
-                if key is not None:
-                    self.cache.put(key, (result, score))
-                self.eval_stats.add(st)
-                stats.completed += 1
-                if stats.max_inflight < 1:
-                    stats.max_inflight = 1
-                yield i, Evaluated(behavior, result, score, lineage, st)
-        if buf:
-            yield from flush()
+            result, score, st = _score_one(self._ctx, behavior,
+                                           self._region_cache,
+                                           self.tracer, key)
+            if key is not None:
+                self.cache.put(key, (result, score))
+            self.eval_stats.add(st)
+            stats.completed += 1
+            if stats.max_inflight < 1:
+                stats.max_inflight = 1
+            yield i, Evaluated(behavior, result, score, lineage, st)
         span.set(size=n_items, cache_hits=n_hits, scheduled=n_scheduled)
 
     def _evaluate_batch(self, pairs: Sequence[Tuple[Behavior,
@@ -889,126 +798,12 @@ class EvaluationEngine:
                         self.tracer.adopt(payload, root_attrs=attrs)
                     scored.append(triple)
                 return scored
-        numeric = get_backend()
-        if (numeric.batched and self._region_cache is not None
-                and len(behaviors) >= 2):
-            scored = self._score_generation(behaviors, keys)
-        else:
-            scored = [_score_one(self._ctx, b, self._region_cache,
-                                 self.tracer,
-                                 keys[i] if keys is not None else None)
-                      for i, b in enumerate(behaviors)]
+        scored = [_score_one(self._ctx, b, self._region_cache,
+                             self.tracer,
+                             keys[i] if keys is not None else None)
+                  for i, b in enumerate(behaviors)]
         for _result, _score, st in scored:
             self.eval_stats.add(st)
-        return scored
-
-    def _score_generation(self, behaviors: List[Behavior],
-                          keys: Optional[List[str]]
-                          ) -> List[Tuple[Optional[ScheduleResult], float,
-                                          EvalStats]]:
-        """Serial scoring with generation-deferred visit solves.
-
-        The cross-candidate batch point of the batched numeric backend
-        (`docs/performance.md`): every candidate is scheduled first with
-        its final spliced-visit assembly deferred (:meth:`_defer_one`),
-        then *all* candidates' dirty fragments are solved in one flush
-        and each candidate is spliced and scored
-        (:meth:`_resolve_deferred`).  Each sub-chain's solution is
-        independent of its flushmates and fragments shared between
-        candidates are solved once and memo-reused exactly as the
-        sequential walk would have, so scores, STGs and visit totals are
-        bit-identical to :func:`_score_one` — for *any* flush
-        composition, which is why the streaming path may flush smaller
-        opportunistic sub-batches through the very same helpers.
-        """
-        deferred = [self._defer_one(b, keys[i] if keys is not None
-                                    else None)
-                    for i, b in enumerate(behaviors)]
-        return self._resolve_deferred(deferred)
-
-    def _defer_one(self, behavior: Behavior,
-                   key: Optional[str]) -> "_Deferred":
-        """Schedule one behavior with its final visit assembly deferred.
-
-        Phase 1 of the deferred-visits protocol: the scheduler runs with
-        ``defer_visits=True`` and the resulting :class:`PendingVisits`
-        is parked on the returned record until a later
-        :meth:`_resolve_deferred` flushes it.
-        """
-        ctx, cache, tracer = self._ctx, self._region_cache, self.tracer
-        numeric = get_backend()
-        stats = EvalStats(scheduled=1)
-        before = _counters_before(cache, numeric)
-        t0 = time.perf_counter()
-        pending = result = error = None
-        with tracer.span("evaluate", cache="miss") as span:
-            if key is not None:
-                span.set(candidate=key[:16])
-            try:
-                scheduler = Scheduler(behavior, ctx.library,
-                                      ctx.allocation, ctx.sched_config,
-                                      ctx.branch_probs,
-                                      region_cache=cache,
-                                      tracer=tracer,
-                                      defer_visits=True)
-                result = scheduler.schedule()
-                pending = scheduler.pending
-            except ReproError as err:
-                error = err
-        stats.sched_time = time.perf_counter() - t0
-        _accrue_counters(stats, before, cache, numeric)
-        return _Deferred(behavior, key, span, stats, pending, result,
-                         error)
-
-    def _resolve_deferred(self, deferred: List["_Deferred"]
-                          ) -> List[Tuple[Optional[ScheduleResult], float,
-                                          EvalStats]]:
-        """Flush and score a batch of deferred candidates (phases 2+3).
-
-        One :func:`repro.sched.driver.resolve_visits` call solves every
-        candidate's dirty fragments together; the communal flush's
-        counters are booked as one extra batch-level record so
-        aggregated totals stay exact.  Then each candidate is scored
-        exactly as :func:`_score_one` would.
-        """
-        ctx, cache = self._ctx, self._region_cache
-        numeric = get_backend()
-        todo = [d for d in deferred
-                if d.pending is not None and d.error is None]
-        if todo:
-            batch = EvalStats()
-            before = _counters_before(cache, numeric)
-            t0 = time.perf_counter()
-            resolved = resolve_visits([d.pending for d in todo], cache)
-            batch.sched_time = time.perf_counter() - t0
-            _accrue_counters(batch, before, cache, numeric)
-            self.eval_stats.add(batch)
-            for d, err in zip(todo, resolved):
-                if err is not None:
-                    d.error = err
-        scored: List[Tuple[Optional[ScheduleResult], float,
-                           EvalStats]] = []
-        for d in deferred:
-            stats, span = d.stats, d.span
-            before = _counters_before(cache, numeric)
-            t0 = time.perf_counter()
-            result, score = d.result, float("inf")
-            if d.error is None and result is not None:
-                try:
-                    score = ctx.objective.evaluate(result)
-                    score += TIEBREAK * _datapath_cost(
-                        d.behavior, ctx.library, ctx.allocation)
-                except ReproError as err:
-                    d.error = err
-            if d.error is not None:
-                result, score = None, float("inf")
-                span.set(unschedulable=type(d.error).__name__)
-            stats.sched_time += time.perf_counter() - t0
-            _accrue_counters(stats, before, cache, numeric)
-            # The evaluate span closed after scheduling, but its attrs
-            # stay writable until the tracer exports (see obs.trace).
-            _set_result_attrs(span, score, stats)
-            scored.append((result, score, stats))
         return scored
 
     def _ensure_pool(self) -> Optional[Executor]:

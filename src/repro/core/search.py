@@ -124,20 +124,17 @@ class SearchConfig:
     evaluation backend (0/1 serial, >= 2 a process pool; ``None`` defers
     to the ``REPRO_WORKERS`` environment variable); ``cache_size``
     bounds the evaluation memoization cache (0 disables it).
-    ``incremental`` toggles region-level schedule memoization — both
-    modes produce identical results (``--no-incremental`` on the CLI is
-    the escape hatch / benchmark baseline); ``region_cache_size``
+    ``incremental`` toggles region-level schedule memoization — the two
+    modes sum the same visits in a different order, so their scores
+    agree within :data:`repro.gen.oracles.PLAIN_REL_TOL` rather than
+    bit for bit (``--no-incremental`` on the CLI is the escape hatch /
+    benchmark baseline); ``region_cache_size``
     bounds the per-process region schedule cache.
     ``incremental_enumeration`` toggles the rewrite driver's
     footprint-based incremental candidate enumeration (again with
     identical results either way — ``--no-incremental-enum`` is the
     benchmark baseline); ``enum_cache_size`` bounds its per-behavior
     enumeration memo.
-    ``numeric_backend`` selects the linear-algebra core for candidate
-    evaluation: ``"scalar"`` (one solve per chain, the classic path) or
-    ``"batched"`` (same-size chains stacked into blocked LAPACK calls,
-    vectorized power accumulation) — bit-identical results either way
-    (``--numeric-backend`` on the CLI; see docs/performance.md).
     ``streaming`` evaluates each generation through the engine's
     streaming pipeline (:meth:`~repro.core.engine.EvaluationEngine.
     evaluate_stream`) instead of the generation barrier — results are
@@ -166,7 +163,6 @@ class SearchConfig:
     region_cache_size: int = 4096
     incremental_enumeration: bool = True
     enum_cache_size: int = 512
-    numeric_backend: str = "scalar"
     streaming: bool = False
     strategy: str = "greedy"
     macro_depth: int = 2
@@ -267,7 +263,6 @@ class TransformSearch:
             incremental=self.config.incremental,
             region_cache_size=self.config.region_cache_size,
             region_cache=self.region_cache,
-            numeric_backend=self.config.numeric_backend,
             tracer=self.tracer)
 
     def evaluate(self, behavior: Behavior,

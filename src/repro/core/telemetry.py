@@ -61,13 +61,6 @@ class EvalStats:
         sched_time / solver_time: seconds spent scheduling (total) and
             inside Markov solves (a subset, when solves happen during
             scheduling).
-        numeric_flushes / numeric_batched: batched-backend flushes and
-            the systems they carried (both 0 under the scalar backend).
-        numeric_seconds: seconds inside the solves themselves (matrix
-            assembly from transitions, LAPACK, validity checks) —
-            accrued by both backends at the same boundary, so scalar
-            vs. batched ratios compare the numeric core, not the
-            Python STG walk around it.
     """
 
     scheduled: int = 0
@@ -81,9 +74,6 @@ class EvalStats:
     markov_full: int = 0
     sched_time: float = 0.0
     solver_time: float = 0.0
-    numeric_flushes: int = 0
-    numeric_batched: int = 0
-    numeric_seconds: float = 0.0
 
     @property
     def region_hit_rate(self) -> float:

@@ -103,7 +103,6 @@ class ExploreConfig:
     cycle_time: float = 1.0
     incremental: bool = True
     incremental_enumeration: bool = True
-    numeric_backend: str = "scalar"
     #: stream each generation through the engine's pipeline (results
     #: byte-identical to the barrier path; see docs/pipeline.md)
     streaming: bool = False
@@ -124,26 +123,24 @@ class ExploreConfig:
             cache_size=self.cache_size,
             incremental=self.incremental,
             incremental_enumeration=self.incremental_enumeration,
-            numeric_backend=self.numeric_backend,
             streaming=self.streaming)
 
     def identity(self) -> Tuple:
         """Everything that shapes the search trajectory (for the run
         fingerprint; ``generations`` is deliberately excluded so a
         finished run can be extended by resuming with a higher cap).
-        ``incremental`` / ``incremental_enumeration`` / ``streaming`` /
-        the numeric backend and the cache sizes are normalized out: all
-        evaluation and enumeration modes produce identical trajectories
+        ``incremental_enumeration`` / ``streaming`` and the cache sizes
+        are normalized out: those modes produce identical trajectories
         by construction, so a run checkpointed in one mode can resume in
-        the other."""
+        the other.  ``incremental`` stays in: the plain walk sums visits
+        in a different order, so its scores only agree with the splice
+        path's within :data:`repro.gen.oracles.PLAIN_REL_TOL`."""
         return (self.population_size, self.max_candidates_per_seed,
-                self.seed, self.warm_start,
+                self.seed, self.warm_start, self.incremental,
                 astuple(replace(self.warm_start_search(),
-                                incremental=True,
                                 region_cache_size=4096,
                                 incremental_enumeration=True,
                                 enum_cache_size=512,
-                                numeric_backend="scalar",
                                 streaming=False)),
                 self.vdd, self.vt, self.cycle_time,
                 tuple(self.warm_start_objectives),
@@ -290,7 +287,6 @@ class ExploreRunner:
             sched_config=cfg.sched, branch_probs=self.branch_probs,
             workers=cfg.workers, cache_size=cfg.cache_size,
             incremental=cfg.incremental, region_cache=region_cache,
-            numeric_backend=cfg.numeric_backend,
             tracer=self.tracer)
         telemetry = ExploreTelemetry(backend=engine.backend,
                                      workers=max(engine.workers, 1),

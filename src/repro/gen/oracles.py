@@ -30,10 +30,6 @@ sched-incremental  region-cache (splice) scheduling is bit-identical to
                    average may drift by float associativity only)
 engine-backend     serial vs. process-pool evaluation engines score the
                    behavior identically
-numeric-backend    scalar vs. batched numeric cores produce bit-
-                   identical schedules, average lengths and power
-                   estimates (same STG, same floats, same error class
-                   on infeasible circuits)
 stream-parity      the streaming evaluation pipeline
                    (``EvaluationEngine.evaluate_stream``) scores a
                    mixed batch — parent, rewritten children, in-batch
@@ -382,66 +378,6 @@ def oracle_engine_backend(ctx: OracleContext) -> Optional[str]:
     return None
 
 
-def oracle_numeric_backend(ctx: OracleContext) -> Optional[str]:
-    """Scalar and batched numeric backends are bit-identical.
-
-    Schedules the circuit through the region-cache (splice) path — the
-    path that batches fragment solves and loop-variant measurements —
-    under each backend and demands the same STG signature, the same
-    average length to the last bit, and the same power estimate.  A
-    circuit that fails to schedule must fail under both backends with
-    the same error class (messages may differ when several sub-chains
-    fail, because the batched path surfaces the first failure in flush
-    order rather than build order).
-    """
-    from ..numeric import batching_available, use_backend
-    from ..power.model import estimate_power
-    if not batching_available():
-        return None  # nothing to compare against
-    if ctx.try_schedule() is None:
-        return None  # path explosion: agreed capacity limit, skip
-    probs = ctx.branch_probs()
-    fp = context_fingerprint(ctx.hw_library, ctx.allocation,
-                             ctx.sched_config, probs)
-
-    def run(backend: str):
-        with use_backend(backend):
-            cache = RegionScheduleCache(max_entries=4096, context_fp=fp)
-            try:
-                sched = Scheduler(
-                    ctx.behavior, ctx.hw_library, ctx.allocation,
-                    ctx.sched_config, probs,
-                    region_cache=cache).schedule()
-            except ReproError as exc:
-                return type(exc).__name__, None, None, None
-            est = estimate_power(sched.stg, ctx.behavior.graph,
-                                 ctx.hw_library,
-                                 visits=sched.expected_visits())
-            return None, _stg_signature(sched), \
-                sched.average_length(), est
-
-    s_err, s_sig, s_len, s_est = run("scalar")
-    b_err, b_sig, b_len, b_est = run("batched")
-    if s_err is not None or b_err is not None:
-        if s_err != b_err:
-            return (f"scalar schedule error {s_err} vs. batched "
-                    f"{b_err}")
-        return None
-    if s_sig != b_sig:
-        return "scalar and batched backends built different STGs"
-    if s_len != b_len:
-        return (f"scalar average length {s_len!r} != batched "
-                f"{b_len!r}")
-    assert s_est is not None and b_est is not None
-    for attr in ("fu_energy", "fu_ops", "memory_energy",
-                 "register_energy", "overhead_energy"):
-        if getattr(s_est, attr) != getattr(b_est, attr):
-            return (f"power estimate field {attr} diverges: "
-                    f"{getattr(s_est, attr)!r} != "
-                    f"{getattr(b_est, attr)!r}")
-    return None
-
-
 def oracle_stream_parity(ctx: OracleContext) -> Optional[str]:
     """Streaming evaluation scores a batch exactly like the barrier.
 
@@ -450,7 +386,7 @@ def oracle_stream_parity(ctx: OracleContext) -> Optional[str]:
     scores it through both ``evaluate_batch`` (the barrier path) and a
     reassembled ``evaluate_stream`` on fresh engines.  Demands the same
     score and the same STG signature at every index: the streaming
-    pipeline's deferred flushes, in-flight dedup and reordering must be
+    pipeline's in-flight dedup and reordering must be
     invisible in the per-candidate outputs.
     """
     if ctx.try_schedule() is None:
@@ -596,7 +532,6 @@ ORACLES: Dict[str, Callable[[OracleContext], Optional[str]]] = {
     "rewrite-semantics": oracle_rewrite_semantics,
     "sched-incremental": oracle_sched_incremental,
     "engine-backend": oracle_engine_backend,
-    "numeric-backend": oracle_numeric_backend,
     "stream-parity": oracle_stream_parity,
     "search-parity": oracle_search_parity,
 }

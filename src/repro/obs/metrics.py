@@ -179,12 +179,6 @@ class MetricsRegistry:
         self.inc("markov.reused", stats.markov_reused)
         self.inc("markov.full", stats.markov_full)
         self.inc("markov.solver_seconds", stats.solver_time)
-        self.inc("numeric.flushes", stats.numeric_flushes)
-        self.inc("numeric.batched_systems", stats.numeric_batched)
-        self.inc("numeric.solve_seconds", stats.numeric_seconds)
-        self.set("numeric.systems_per_flush",
-                 stats.numeric_batched / stats.numeric_flushes
-                 if stats.numeric_flushes > 0 else 0.0)
 
     def absorb_stream_stats(self, stats: Any) -> None:
         """Fold a :class:`~repro.stream.StreamStats` in.
@@ -198,7 +192,6 @@ class MetricsRegistry:
         self.inc("stream.completed", stats.completed)
         self.inc("stream.cache_hits", stats.cache_hits)
         self.inc("stream.merged", stats.merged)
-        self.inc("stream.flushes", stats.flushes)
         self.inc("stream.speculated", stats.speculated)
         self.inc("stream.shed", stats.shed)
         self.inc("stream.carried", stats.carried)

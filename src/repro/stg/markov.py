@@ -26,14 +26,12 @@ is the no-op :data:`~repro.obs.trace.NULL_TRACER`.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
 from ..errors import MarkovError
-from ..numeric import get_backend
 from ..obs.trace import NULL_TRACER, AnyTracer
 from .model import Stg, Transition
 
@@ -85,55 +83,40 @@ def _solve_visits(name: str, transitions: List[Transition],
     ``Q`` keeps only transitions whose source *and* destination are
     indexed; everything else (the exit state, or mass leaving a
     fragment) simply drains.
-
-    Seconds spent here accrue to the installed backend's
-    ``solve_seconds`` (unless a batched flush, which times itself
-    wholesale, is the caller) — the numeric-core metric
-    ``EvalStats.numeric_seconds`` reports.
     """
-    backend = get_backend()
-    t0 = time.perf_counter()
-    try:
-        with _TRACER.span("markov.solve", states=n,
-                          method="sparse" if n > SPARSE_THRESHOLD
-                          else "dense") as span:
-            try:
-                if n > SPARSE_THRESHOLD:
-                    v = _sparse_solve(transitions, index, n, e)
-                else:
-                    q = np.zeros((n, n))
-                    for t in transitions:
-                        si = index.get(t.src)
-                        di = index.get(t.dst)
-                        if si is None or di is None:
-                            continue
-                        q[si, di] += t.prob
-                    v = np.linalg.solve(np.eye(n) - q.T, e)
-            except Exception as exc:
-                span.set(singular=True)
-                raise MarkovError(
-                    f"{name}: absorbing-chain solve failed ({exc}); the "
-                    f"STG may loop forever with probability 1") from None
-            if np.any(v < -1e-6):
-                raise MarkovError(f"{name}: negative expected visits; "
-                                  f"inconsistent probabilities")
-            return v
-    finally:
-        if not backend._in_flush:
-            backend.solve_seconds += time.perf_counter() - t0
+    with _TRACER.span("markov.solve", states=n,
+                      method="sparse" if n > SPARSE_THRESHOLD
+                      else "dense") as span:
+        try:
+            if n > SPARSE_THRESHOLD:
+                v = _sparse_solve(transitions, index, n, e)
+            else:
+                q = np.zeros((n, n))
+                for t in transitions:
+                    si = index.get(t.src)
+                    di = index.get(t.dst)
+                    if si is None or di is None:
+                        continue
+                    q[si, di] += t.prob
+                v = np.linalg.solve(np.eye(n) - q.T, e)
+        except Exception as exc:
+            span.set(singular=True)
+            raise MarkovError(
+                f"{name}: absorbing-chain solve failed ({exc}); the STG "
+                f"may loop forever with probability 1") from None
+        if np.any(v < -1e-6):
+            raise MarkovError(f"{name}: negative expected visits; "
+                              f"inconsistent probabilities")
+        return v
 
 
 @dataclass
 class VisitSystem:
     """One assembled absorbing-chain system ``(I − Qᵀ) v = e``.
 
-    The shared assembly product both numeric backends consume: the
-    scalar backend hands it straight to :func:`_solve_visits`, the
-    batched backend groups same-size systems into stacked LAPACK
-    calls.  ``index`` maps state ids to matrix rows in the order the
-    scalar path would have enumerated them, which is what keeps
-    :func:`finish_visits` dict ordering (and every float-order
-    sensitive sum downstream) backend-independent.
+    ``index`` maps state ids to matrix rows in state-id order, which is
+    what fixes :func:`finish_visits` dict ordering (and every
+    float-order sensitive sum downstream).
     """
 
     name: str
@@ -147,8 +130,8 @@ def build_chain_system(stg: Stg) -> Optional[VisitSystem]:
     """Assemble the full-chain system :func:`expected_visits` solves.
 
     Returns None when there are no transient states (entry == exit);
-    raises :class:`MarkovError` exactly where the scalar path would
-    (unreachable exit, size limit).
+    raises :class:`MarkovError` for an unreachable exit or an oversized
+    chain.
     """
     stg.validate()
     if stg.exit not in stg.reachable():
@@ -174,7 +157,7 @@ def build_fragment_system(stg: Stg, sources: Mapping[int, float]
 
     Returns None for an empty fragment (no states); raises
     :class:`MarkovError` for unknown source states or oversized
-    fragments, exactly like the scalar path.
+    fragments.
     """
     ids = stg.state_ids()
     n = len(ids)
@@ -202,13 +185,20 @@ def finish_visits(system: VisitSystem, v) -> Dict[int, float]:
 
 def solve_systems(systems: Sequence[VisitSystem]
                   ) -> List[Union[np.ndarray, MarkovError]]:
-    """Solve many assembled systems through the installed backend.
+    """Solve many assembled systems, one after another.
 
     Returns one entry per system: the raw solution vector, or the
     :class:`MarkovError` that system produced (captured, not raised, so
-    one singular fragment cannot mask its batchmates' results).
+    one singular system cannot mask the other systems' results).
     """
-    return get_backend().solve_systems(systems)
+    out: List[Union[np.ndarray, MarkovError]] = []
+    for system in systems:
+        try:
+            out.append(_solve_visits(system.name, system.transitions,
+                                     system.index, system.n, system.e))
+        except MarkovError as err:
+            out.append(err)
+    return out
 
 
 def expected_visits(stg: Stg) -> Dict[int, float]:
@@ -233,33 +223,12 @@ def expected_visits(stg: Stg) -> Dict[int, float]:
 
 
 def expected_visits_many(stgs: Sequence[Stg]) -> List[Dict[int, float]]:
-    """:func:`expected_visits` over many STGs in one backend flush.
+    """:func:`expected_visits` over many STGs, in list order.
 
-    Under the scalar backend this is a plain sequential loop (the
-    classic path, byte for byte).  Under the batched backend every
-    chain is assembled first and the solves go out as one flush; a
-    failing chain's MarkovError is raised in list order, mirroring the
-    scalar sequence.
+    A failing chain's :class:`MarkovError` is raised as soon as it is
+    reached, so the first failure in list order wins.
     """
-    if not get_backend().batched:
-        return [expected_visits(stg) for stg in stgs]
-    out: List[Optional[Dict[int, float]]] = [None] * len(stgs)
-    systems: List[VisitSystem] = []
-    where: List[int] = []
-    for i, stg in enumerate(stgs):
-        system = build_chain_system(stg)
-        if system is None:
-            out[i] = {stg.exit: 1.0}
-        else:
-            systems.append(system)
-            where.append(i)
-    for i, system, solved in zip(where, systems, solve_systems(systems)):
-        if isinstance(solved, MarkovError):
-            raise solved
-        visits = finish_visits(system, solved)
-        visits[stgs[i].exit] = 1.0
-        out[i] = visits
-    return out  # type: ignore[return-value]
+    return [expected_visits(stg) for stg in stgs]
 
 
 def fragment_visits(stg: Stg, sources: Mapping[int, float]
@@ -296,12 +265,6 @@ def fragment_visits(stg: Stg, sources: Mapping[int, float]
 def average_schedule_length(stg: Stg) -> float:
     """Expected cycles for one execution (entry → exit, inclusive)."""
     return float(sum(expected_visits(stg).values()))
-
-
-def average_schedule_lengths(stgs: Sequence[Stg]) -> List[float]:
-    """:func:`average_schedule_length` over many STGs in one flush."""
-    return [float(sum(visits.values()))
-            for visits in expected_visits_many(stgs)]
 
 
 def state_probabilities(stg: Stg,

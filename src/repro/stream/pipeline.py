@@ -17,7 +17,7 @@ releases the contiguous committed prefix:
 (0, 3, 2)
 
 ``StreamStats`` is the observability half: the counters a streaming run
-accumulates (admissions, merges, flushes, shed speculation) plus the
+accumulates (admissions, merges, shed speculation) plus the
 high-water marks (in-flight window, reorder depth) that back the
 ``stream.*`` gauges in ``docs/observability.md``.
 """
@@ -79,9 +79,7 @@ class StreamStats:
     input; each is then either ``merged`` (duplicate of an in-flight
     key), a ``cache_hits`` (served from the evaluation cache without
     scheduling) or ``submitted`` for evaluation; ``completed`` counts
-    finished evaluations.  ``flushes`` counts opportunistic deferred
-    Markov-visit flushes (serial batched backend), ``speculated`` /
-    ``shed`` count the explorer's speculative feeder decisions, and
+    finished evaluations.  ``speculated`` / ``shed`` count the explorer's speculative feeder decisions, and
     ``carried`` / ``adopted`` count speculative evaluations left running
     across a generation boundary and re-attached by a later stream.
     """
@@ -91,7 +89,6 @@ class StreamStats:
     completed: int = 0
     cache_hits: int = 0
     merged: int = 0
-    flushes: int = 0
     speculated: int = 0
     shed: int = 0
     carried: int = 0
@@ -102,7 +99,7 @@ class StreamStats:
     max_reorder_depth: int = 0
 
     _COUNTERS = ("enqueued", "submitted", "completed", "cache_hits",
-                 "merged", "flushes", "speculated", "shed", "carried",
+                 "merged", "speculated", "shed", "carried",
                  "adopted")
     _GAUGES = ("max_inflight", "max_reorder_depth")
 
@@ -123,7 +120,7 @@ class StreamStats:
         """One human line, used by ``--stats`` output."""
         return (f"stream: {self.enqueued} enqueued, "
                 f"{self.submitted} submitted, {self.cache_hits} cache hits, "
-                f"{self.merged} merged, {self.flushes} flushes, "
+                f"{self.merged} merged, "
                 f"{self.speculated} speculated ({self.shed} shed, "
                 f"{self.carried} carried, {self.adopted} adopted), "
                 f"peak inflight {self.max_inflight}, "

@@ -1,7 +1,7 @@
 """Admission policy for the streaming evaluation pipeline.
 
-One small dataclass of knobs, shared by the engine's stream (window and
-flush sizing) and the explorer's speculative feeder (speculation caps
+One small dataclass of knobs, shared by the engine's stream (window
+sizing) and the explorer's speculative feeder (speculation caps
 and shedding).  Every knob defaults to 0 = "derive from the worker
 count", so ``AdmissionPolicy()`` is always a sensible policy.
 """
@@ -36,11 +36,6 @@ class AdmissionPolicy:
         0 derives ``2 * workers`` (at least 4): enough slack that a
         finishing worker always finds a queued successor, small enough
         that completion order stays close to submission order.
-    flush_size:
-        Serial batched-backend streams defer Markov visit resolution and
-        flush dirty fragments through ``visits_of_many`` once this many
-        candidates are buffered (opportunistic sub-generation flushes,
-        bit-identical to any other flush composition).
     speculate:
         Allow the explorer to fill generation-tail idle slots with
         predicted next-generation candidates.  Speculative results only
@@ -64,7 +59,6 @@ class AdmissionPolicy:
     """
 
     max_inflight: int = 0
-    flush_size: int = 8
     speculate: bool = True
     max_speculative: int = 0
     shed_backlog: int = 0
@@ -74,10 +68,6 @@ class AdmissionPolicy:
         if self.max_inflight > 0:
             return self.max_inflight
         return max(4, 2 * max(1, workers))
-
-    def effective_flush(self) -> int:
-        """Serial deferred-visits flush granularity (at least 1)."""
-        return max(1, self.flush_size)
 
     def effective_speculation(self, workers: int) -> int:
         """Per-generation speculative submission cap."""

@@ -43,3 +43,34 @@ def test_incremental_front_matches_full(tmp_path):
     # Both runs actually scheduled (no store crosstalk).
     assert inc.telemetry.evaluations > 0
     assert full.telemetry.evaluations > 0
+
+
+def test_modes_get_distinct_run_fingerprints(tmp_path):
+    """The plain walk is not bit-identical to the splice path, so a
+    checkpoint must not resume across ``incremental`` modes."""
+    beh = repro.compile(GCD)
+    alloc = repro.coerce_allocation(ALLOC)
+    fps = {ExploreRunner(beh, alloc,
+                         config=ExploreConfig(incremental=mode),
+                         store=tmp_path / "store").run_fingerprint
+           for mode in (True, False)}
+    assert len(fps) == 2
+
+
+def test_plain_walk_agrees_within_tolerance():
+    """A generated circuit whose best power score differs in the last
+    bits between the modes: 151.8501685198474 incremental against
+    151.85016851984736 plain (the two paths sum the same visits in a
+    different order).  The modes agree within ``PLAIN_REL_TOL``."""
+    from repro.gen.generator import GenConfig, generate
+    from repro.gen.oracles import PLAIN_REL_TOL
+
+    gen = generate(5, GenConfig(loop_depth=1, block_stmts=3, regions=1,
+                                expr_depth=2, max_trip=4))
+    scores = [repro.optimize(
+        gen.source, objective="power",
+        config=repro.ReproConfig(search=SearchConfig(
+            max_evaluations=10, incremental=mode))).best.score
+        for mode in (True, False)]
+    assert abs(scores[0] - scores[1]) <= PLAIN_REL_TOL * max(
+        1.0, abs(scores[1]))

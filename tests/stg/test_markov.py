@@ -1,10 +1,14 @@
 """STG model and Markov analysis tests."""
 
+import numpy as np
 import pytest
 
 from repro.errors import MarkovError, StgError
 from repro.stg import (Stg, average_schedule_length, expected_visits,
                        simulate, state_probabilities, throughput)
+from repro.stg.markov import (VisitSystem, build_chain_system,
+                              expected_visits_many, solve_systems)
+from repro.stg.model import Transition
 
 
 def linear_stg(n):
@@ -121,6 +125,64 @@ class TestValidation:
         b = stg.add_state()
         with pytest.raises(StgError):
             stg.add_transition(a, b, 1.5)
+
+
+def nonterminating_stg():
+    """body loops forever with probability 1: singular system."""
+    stg = Stg("forever")
+    entry = stg.add_state(label="entry")
+    body = stg.add_state(label="body")
+    exit_ = stg.add_state(label="exit")
+    stg.add_transition(entry, body, 1.0)
+    stg.add_transition(body, body, 1.0)
+    stg.add_transition(body, exit_, 0.0)
+    stg.entry, stg.exit = entry, exit_
+    return stg
+
+
+class TestSolveSystems:
+    """``solve_systems`` captures each system's MarkovError in place, so
+    one failing system never hides the results of the others."""
+
+    def test_singular_member_is_isolated(self):
+        good = geometric_loop(0.5)
+        bad = nonterminating_stg()
+        lin = linear_stg(3)
+        solved = solve_systems([build_chain_system(good),
+                                build_chain_system(bad),
+                                build_chain_system(lin)])
+        with pytest.raises(MarkovError) as direct:
+            expected_visits(bad)
+        assert isinstance(solved[1], MarkovError)
+        assert str(solved[1]) == str(direct.value)
+        for i, stg in ((0, good), (2, lin)):
+            assert isinstance(solved[i], np.ndarray)
+            want = expected_visits(stg)
+            got = [float(v) for v in solved[i]]
+            assert got == [want[sid] for sid in want if sid != stg.exit]
+
+    def test_negative_visits_member_is_isolated(self):
+        # A self-loop of mass 2 solves to v = -1: inconsistent
+        # probabilities, rejected without touching its neighbours.
+        neg = VisitSystem("neg", [Transition(0, 0, 2.0)], {0: 0}, 1,
+                          np.array([1.0]))
+        ok = build_chain_system(linear_stg(4))
+        solved = solve_systems([ok, neg, ok])
+        assert isinstance(solved[1], MarkovError)
+        assert "negative expected visits" in str(solved[1])
+        assert solved[0].tobytes() == solved[2].tobytes()
+        assert list(solved[0]) == [1.0, 1.0, 1.0]
+
+    def test_expected_visits_many_raises_in_list_order(self):
+        with pytest.raises(MarkovError, match="forever"):
+            expected_visits_many([geometric_loop(0.5),
+                                  nonterminating_stg(),
+                                  linear_stg(2)])
+
+    def test_expected_visits_many_matches_single_solves(self):
+        stgs = [linear_stg(4), geometric_loop(0.9), geometric_loop(0.25)]
+        assert expected_visits_many(stgs) == [expected_visits(stg)
+                                              for stg in stgs]
 
 
 class TestSimulationAgreement:

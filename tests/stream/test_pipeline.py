@@ -63,10 +63,6 @@ class TestAdmissionPolicy:
     def test_window_override_wins(self):
         assert AdmissionPolicy(max_inflight=3).effective_window(8) == 3
 
-    def test_flush_is_at_least_one(self):
-        assert AdmissionPolicy(flush_size=0).effective_flush() == 1
-        assert AdmissionPolicy(flush_size=5).effective_flush() == 5
-
     def test_speculation_defaults_to_window(self):
         p = AdmissionPolicy()
         assert p.effective_speculation(4) == p.effective_window(4)
@@ -87,7 +83,7 @@ class TestAdmissionPolicy:
 class TestStreamStats:
     def test_add_sums_counters_and_maxes_gauges(self):
         a = StreamStats(enqueued=3, submitted=2, completed=2,
-                        cache_hits=1, merged=1, flushes=1, speculated=2,
+                        cache_hits=1, merged=1, speculated=2,
                         shed=1, carried=1, adopted=1, max_inflight=4,
                         max_reorder_depth=2)
         b = StreamStats(enqueued=1, submitted=1, completed=1,
